@@ -15,12 +15,7 @@ from repro.ledger.state import StateStore
 from repro.ledger.transactions import simple_transfer
 from repro.ordering.ladon import LadonGlobalOrderer
 from repro.ordering.predetermined import PredeterminedGlobalOrderer
-from repro.runtime.codec import (
-    WIRE_VERSION,
-    WIRE_VERSION_BINARY,
-    decode_envelope,
-    encode_envelope,
-)
+from repro.runtime.codec import decode_envelope, encode_envelope
 from repro.sim.simulator import Simulator
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import EthereumStyleWorkload
@@ -151,13 +146,15 @@ def test_digest_fresh_block_rate(benchmark):
     assert benchmark(run) == 64
 
 
-def test_codec_binary_vs_json_round_trip(benchmark):
-    """Binary envelope round trip of a 64-tx pre-prepare (the hot frame).
+def test_codec_pre_prepare_round_trip(benchmark):
+    """Envelope round trip of a 64-tx pre-prepare (the hot frame).
 
-    Asserts the structural contract inline — the binary frame decodes to the
-    same message the JSON codec produces and is smaller — while the timing
-    tracks the v2 path that live clusters actually run.
+    Asserts inline that the decoded block carries every field of the
+    original, while the timing tracks the encode + decode path live
+    clusters run for every proposal.
     """
+    from dataclasses import asdict
+
     from repro.sb.pbft.messages import PrePrepare
 
     block = _sample_block()
@@ -169,19 +166,12 @@ def test_codec_binary_vs_json_round_trip(benchmark):
         block=block,
         digest=block.digest,
     )
-    json_frame = encode_envelope(1, message, version=WIRE_VERSION)
-    binary_frame = encode_envelope(1, message, version=WIRE_VERSION_BINARY)
-    assert len(binary_frame) < len(json_frame)
-    from repro.runtime.codec import encode_payload
-
-    assert encode_payload(decode_envelope(binary_frame)[1]) == encode_payload(
-        decode_envelope(json_frame)[1]
-    )
+    decoded = decode_envelope(encode_envelope(1, message))[1]
+    assert asdict(decoded) == asdict(message)
+    assert decoded.block.digest == block.digest
 
     def run():
-        sender, decoded = decode_envelope(
-            encode_envelope(1, message, version=WIRE_VERSION_BINARY)
-        )
+        sender, _ = decode_envelope(encode_envelope(1, message))
         return sender
 
     assert benchmark(run) == 1

@@ -93,21 +93,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_wire_version_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--wire-version",
-        type=int,
-        default=None,
-        choices=[1, 2, 3],
-        help=(
-            "highest wire version to speak (default: 3, binary with batched "
-            "super-frames; 2 struct-packed binary without batching; 1 pins "
-            "canonical JSON); per-connection encoding is negotiated down via "
-            "the hello handshake"
-        ),
-    )
-
-
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by serve/cluster/chaos."""
     parser.add_argument(
@@ -407,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cut a snapshot at most every N completed epochs (default: 1)",
     )
     _add_obs_arguments(serve_parser)
-    _add_wire_version_argument(serve_parser)
 
     cluster_parser = subparsers.add_parser(
         "cluster", help="spawn and supervise a local live cluster"
@@ -458,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_durability_arguments(cluster_parser)
     _add_cluster_scale_arguments(cluster_parser)
     _add_cluster_obs_arguments(cluster_parser)
-    _add_wire_version_argument(cluster_parser)
 
     chaos_parser = subparsers.add_parser(
         "chaos",
@@ -561,7 +544,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_durability_arguments(chaos_parser)
     _add_cluster_scale_arguments(chaos_parser)
     _add_cluster_obs_arguments(chaos_parser)
-    _add_wire_version_argument(chaos_parser)
 
     loadgen_parser = subparsers.add_parser(
         "loadgen", help="drive a live cluster with synthetic load"
@@ -612,7 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RATE",
         help="fraction of transactions traced (must match the replicas' rate)",
     )
-    _add_wire_version_argument(loadgen_parser)
 
     top_parser = subparsers.add_parser(
         "top",
@@ -634,7 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="refreshes before exiting (default: until Ctrl-C)",
     )
-    _add_wire_version_argument(top_parser)
 
     trace_parser = subparsers.add_parser(
         "trace",
@@ -863,7 +843,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         send_delay=args.send_delay,
         wan=args.wan,
         byzantine_abstain=args.byzantine_abstain,
-        wire_version=args.wire_version,
         workers=args.workers,
         obs_enabled=not args.no_obs,
         trace_file=args.trace_file,
@@ -926,7 +905,6 @@ def _command_cluster(args: argparse.Namespace) -> int:
             zipf_exponent=args.zipf_s,
         ),
         faults=faults,
-        wire_version=args.wire_version,
         transport=args.transport,
         workers=args.workers,
         obs_enabled=not args.no_obs,
@@ -1110,7 +1088,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
             zipf_exponent=args.zipf_s,
         ),
         faults=plan,
-        wire_version=args.wire_version,
         transport=args.transport,
         workers=args.workers,
         obs_enabled=not args.no_obs,
@@ -1144,7 +1121,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
             client_id=1000,
             timeout=timeout,
             retries=3,
-            wire_version=args.wire_version,
         ),
     )
     print(
@@ -1227,7 +1203,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
         client=ClientConfig(
             client_id=args.client_id,
             timeout=args.timeout,
-            wire_version=args.wire_version,
             route_instances=args.route_instances,
         ),
         trace_file=args.trace_file,
@@ -1261,7 +1236,7 @@ def _command_top(args: argparse.Namespace) -> int:
     async def watch() -> int:
         client = OrthrusClient(
             peers,
-            ClientConfig(client_id=args.client_id, wire_version=args.wire_version),
+            ClientConfig(client_id=args.client_id),
         )
         await client.connect(require_all=False)
         iteration = 0

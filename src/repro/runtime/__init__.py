@@ -5,8 +5,8 @@ This package hosts the same consensus code the simulator runs — the
 behind a real asyncio TCP transport, turning the reproduction into a system
 that serves actual network traffic:
 
-* :mod:`repro.runtime.codec` — versioned wire codec (canonical JSON, binary,
-  batched super-frames) for every cluster and PBFT message type;
+* :mod:`repro.runtime.codec` — the binary wire codec for every cluster,
+  PBFT and control-plane message type;
 * :mod:`repro.runtime.framing` — length-prefixed frame I/O, batched
   :class:`FrameReader` and super-frame packing;
 * :mod:`repro.runtime.transport` — :class:`AsyncioTransport`, the live
@@ -41,15 +41,11 @@ from repro.runtime.chaos import (
 from repro.runtime.client import ClientConfig, OrthrusClient, TxResult
 from repro.runtime.cluster import ClusterSpec, LocalCluster
 from repro.runtime.codec import (
-    WIRE_VERSION,
-    WIRE_VERSION_BATCH,
+    PROTOCOL_VERSION,
     WireCodecError,
     decode_envelope,
     decode_envelopes,
-    decode_payload,
     encode_envelope,
-    encode_payload,
-    wire_tags,
 )
 from repro.runtime.config import ReplicaRuntimeConfig
 from repro.runtime.framing import (
@@ -84,24 +80,20 @@ __all__ = [
     "LoadReport",
     "LocalCluster",
     "OrthrusClient",
+    "PROTOCOL_VERSION",
     "ReplicaRuntimeConfig",
     "ReplicaServer",
     "TxResult",
-    "WIRE_VERSION",
-    "WIRE_VERSION_BATCH",
     "WireCodecError",
     "WorkerPool",
     "decode_envelope",
     "decode_envelopes",
-    "decode_payload",
     "encode_envelope",
-    "encode_payload",
     "encode_super_frame",
     "install_uvloop",
     "is_super_frame",
     "make_worker_pool",
     "read_frame",
     "split_super_frame",
-    "wire_tags",
     "write_frame",
 ]

@@ -1,38 +1,21 @@
-"""Versioned wire codec for all cluster and PBFT messages.
+"""Wire codec for all cluster, client and control-plane messages.
 
-Two wire versions share one type registry:
+Every message travels as one struct-packed binary *envelope*: a fixed header
+``magic(0xB2) version sender(i64)``, a one-byte type id, then the message's
+fields in a fixed positional layout.  There is exactly one format, so
+nothing is negotiated: the header's version byte is the protocol version,
+and :func:`decode_envelope` refuses any other value with ``unsupported wire
+version`` — a peer built against a different layout fails on its first
+frame instead of being misread.  The layout is positional, not
+field-extensible; an incompatible change bumps :data:`PROTOCOL_VERSION`.
 
-**v1 — canonical JSON** (the compatibility format).  Every message is a
-canonical JSON envelope::
+Free-form dict fields (transaction and block metadata, the status reply's
+stage breakdown, metrics snapshots) are carried as length-prefixed canonical
+JSON inside the binary layout.
 
-    {"v": 1, "t": "<type tag>", "s": <sender node id>, "p": {...payload...}}
-
-``v`` is the wire protocol version, ``t`` identifies the payload type, ``s``
-is the sending node and ``p`` carries the message fields.  Canonical means
-sorted keys and compact separators, so the byte rendering of a message is
-stable across processes and Python versions (the same property the digest
-layer relies on).
-
-Forward compatibility (v1): decoders read the fields they know and **ignore
-unknown fields** at every level (envelope and payload), so a newer peer can
-add fields without breaking older ones.  An unknown type tag or a different
-wire version is an error — those are protocol-level incompatibilities the
-caller must surface, not skate over silently.
-
-**v2 — struct-packed binary** (the performance format).  A fixed header
-``magic(0xB2) version(2) mode sender(i64)`` followed by either a *native*
-payload (one-byte type id, then positional struct-packed fields) or, for
-message types registered without a binary codec, the v1 canonical-JSON
-payload embedded verbatim (``mode`` distinguishes the two).  Binary frames
-decode to values **identical** to what the JSON codec would have produced
-(property-tested in ``tests/properties/test_wire_codec.py``).  The native
-layout is positional, so it is *not* field-extensible — incompatible changes
-bump the version and peers fall back to v1 through the ``hello`` handshake's
-``wire_version`` field (see :mod:`repro.runtime.transport`).
-
-Frames from either version are distinguishable from their first byte (JSON
-always starts with ``{``, binary with the 0xB2 magic), so
-:func:`decode_envelope` accepts both regardless of what this node sends.
+Several envelopes can share one length-prefixed frame as a *super-frame*
+(see :mod:`repro.runtime.framing`); :func:`decode_envelopes` accepts both a
+plain envelope and a super-frame.
 """
 
 from __future__ import annotations
@@ -57,341 +40,22 @@ from repro.sb.pbft.messages import (
     ViewChange,
 )
 
-#: Canonical-JSON wire version (the compatibility fallback every node speaks).
-WIRE_VERSION = 1
-
-#: Struct-packed binary wire version.
-WIRE_VERSION_BINARY = 2
-
-#: Batched-framing wire version.  A v3 envelope is byte-identical to a v2
-#: envelope; what v3 adds is the *framing-level* super-frame (see
-#: :mod:`repro.runtime.framing`), which packs many envelopes into one
-#: length-prefixed frame.  Negotiating v3 therefore only signals "you may
-#: coalesce frames to me" — the codec itself is unchanged, and a v3 node
-#: falls back to one-envelope-per-frame v2/v1 for older peers.
-WIRE_VERSION_BATCH = 3
-
-#: Versions this node can decode.
-SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION, WIRE_VERSION_BINARY, WIRE_VERSION_BATCH)
-
-#: Version transports prefer when the peer advertises support for it.
-DEFAULT_WIRE_VERSION = WIRE_VERSION_BATCH
+#: The one wire protocol version: the second byte of every envelope.  The
+#: previous layouts (a JSON envelope, and a binary header with a payload
+#: mode byte) used 1 and 2, so their frames are refused, never misread.
+PROTOCOL_VERSION = 3
 
 
 class WireCodecError(NetworkError):
     """A frame could not be encoded or decoded."""
 
 
-# -- leaf encoders/decoders -------------------------------------------------
+# -- primitives -----------------------------------------------------------------
 
+#: First byte of every envelope.
+_MAGIC = 0xB2
 
-def _encode_operation(op: ObjectOperation) -> dict[str, Any]:
-    return {
-        "key": op.key,
-        "kind": op.kind.value,
-        "amount": op.amount,
-        "object_type": op.object_type.value,
-    }
-
-
-def _decode_operation(data: dict[str, Any]) -> ObjectOperation:
-    return ObjectOperation(
-        key=data["key"],
-        kind=OperationKind(data["kind"]),
-        amount=int(data["amount"]),
-        object_type=ObjectType(data["object_type"]),
-    )
-
-
-def _encode_signature(signature: Signature) -> dict[str, Any]:
-    return {
-        "signer": signature.signer,
-        "message_digest": signature.message_digest,
-        "value": signature.value,
-    }
-
-
-def _decode_signature(data: dict[str, Any]) -> Signature:
-    return Signature(
-        signer=data["signer"],
-        message_digest=data["message_digest"],
-        value=data["value"],
-    )
-
-
-def _encode_transaction(tx: Transaction) -> dict[str, Any]:
-    return {
-        "tx_id": tx.tx_id,
-        "operations": [_encode_operation(op) for op in tx.operations],
-        "tx_type": tx.tx_type.value,
-        "payload_size": tx.payload_size,
-        "client_id": tx.client_id,
-        "signatures": {
-            holder: _encode_signature(sig) for holder, sig in tx.signatures.items()
-        },
-        "submitted_at": tx.submitted_at,
-        "metadata": tx.metadata,
-    }
-
-
-def _decode_transaction(data: dict[str, Any]) -> Transaction:
-    return Transaction(
-        tx_id=data["tx_id"],
-        operations=tuple(_decode_operation(op) for op in data["operations"]),
-        tx_type=TransactionType(data["tx_type"]),
-        payload_size=int(data.get("payload_size", 0)),
-        client_id=data.get("client_id"),
-        signatures={
-            holder: _decode_signature(sig)
-            for holder, sig in data.get("signatures", {}).items()
-        },
-        submitted_at=data.get("submitted_at"),
-        metadata=dict(data.get("metadata", {})),
-    )
-
-
-def _encode_block(block: Block) -> dict[str, Any]:
-    return {
-        "instance": block.instance,
-        "sequence_number": block.sequence_number,
-        "transactions": [_encode_transaction(tx) for tx in block.transactions],
-        "state": list(block.state.sequence_numbers),
-        "proposer": block.proposer,
-        "epoch": block.epoch,
-        "rank": block.rank,
-        "signature": (
-            _encode_signature(block.signature) if block.signature is not None else None
-        ),
-        "metadata": block.metadata,
-    }
-
-
-def _decode_block(data: dict[str, Any]) -> Block:
-    signature = data.get("signature")
-    return Block(
-        instance=int(data["instance"]),
-        sequence_number=int(data["sequence_number"]),
-        transactions=tuple(_decode_transaction(tx) for tx in data["transactions"]),
-        state=SystemState(tuple(int(v) for v in data["state"])),
-        proposer=int(data["proposer"]),
-        epoch=int(data.get("epoch", 0)),
-        rank=data.get("rank"),
-        signature=_decode_signature(signature) if signature is not None else None,
-        metadata=dict(data.get("metadata", {})),
-    )
-
-
-def _encode_block_pairs(pairs: tuple[tuple[int, Block], ...]) -> list[list[Any]]:
-    return [[sn, _encode_block(block)] for sn, block in pairs]
-
-
-def _decode_block_pairs(data: list[Any]) -> tuple[tuple[int, Block], ...]:
-    return tuple((int(sn), _decode_block(block)) for sn, block in data)
-
-
-# -- message payloads -------------------------------------------------------
-
-
-def _encode_client_request(msg: ClientRequest) -> dict[str, Any]:
-    return {"tx": _encode_transaction(msg.tx), "client_node": msg.client_node}
-
-
-def _decode_client_request(data: dict[str, Any]) -> ClientRequest:
-    return ClientRequest(
-        tx=_decode_transaction(data["tx"]), client_node=int(data["client_node"])
-    )
-
-
-def _encode_client_reply(msg: ClientReply) -> dict[str, Any]:
-    return {
-        "tx_id": msg.tx_id,
-        "replica": msg.replica,
-        "committed": msg.committed,
-        "confirmed_at": msg.confirmed_at,
-    }
-
-
-def _decode_client_reply(data: dict[str, Any]) -> ClientReply:
-    return ClientReply(
-        tx_id=data["tx_id"],
-        replica=int(data["replica"]),
-        committed=bool(data["committed"]),
-        confirmed_at=data.get("confirmed_at"),
-    )
-
-
-def _pbft_header(msg: Any) -> dict[str, Any]:
-    return {"instance": msg.instance, "view": msg.view, "sender": msg.sender}
-
-
-def _encode_pre_prepare(msg: PrePrepare) -> dict[str, Any]:
-    return {
-        **_pbft_header(msg),
-        "sequence_number": msg.sequence_number,
-        "block": _encode_block(msg.block) if msg.block is not None else None,
-        "digest": msg.digest,
-    }
-
-
-def _decode_pre_prepare(data: dict[str, Any]) -> PrePrepare:
-    block = data.get("block")
-    return PrePrepare(
-        instance=int(data["instance"]),
-        view=int(data["view"]),
-        sender=int(data["sender"]),
-        sequence_number=int(data["sequence_number"]),
-        block=_decode_block(block) if block is not None else None,
-        digest=data.get("digest", ""),
-    )
-
-
-def _encode_prepare(msg: Prepare) -> dict[str, Any]:
-    return {
-        **_pbft_header(msg),
-        "sequence_number": msg.sequence_number,
-        "digest": msg.digest,
-    }
-
-
-def _decode_prepare(data: dict[str, Any]) -> Prepare:
-    return Prepare(
-        instance=int(data["instance"]),
-        view=int(data["view"]),
-        sender=int(data["sender"]),
-        sequence_number=int(data["sequence_number"]),
-        digest=data.get("digest", ""),
-    )
-
-
-def _encode_commit(msg: Commit) -> dict[str, Any]:
-    return {
-        **_pbft_header(msg),
-        "sequence_number": msg.sequence_number,
-        "digest": msg.digest,
-    }
-
-
-def _decode_commit(data: dict[str, Any]) -> Commit:
-    return Commit(
-        instance=int(data["instance"]),
-        view=int(data["view"]),
-        sender=int(data["sender"]),
-        sequence_number=int(data["sequence_number"]),
-        digest=data.get("digest", ""),
-    )
-
-
-def _encode_view_change(msg: ViewChange) -> dict[str, Any]:
-    return {
-        **_pbft_header(msg),
-        "last_delivered": msg.last_delivered,
-        "pending": _encode_block_pairs(msg.pending),
-    }
-
-
-def _decode_view_change(data: dict[str, Any]) -> ViewChange:
-    return ViewChange(
-        instance=int(data["instance"]),
-        view=int(data["view"]),
-        sender=int(data["sender"]),
-        last_delivered=int(data.get("last_delivered", -1)),
-        pending=_decode_block_pairs(data.get("pending", [])),
-    )
-
-
-def _encode_new_view(msg: NewView) -> dict[str, Any]:
-    return {**_pbft_header(msg), "reproposals": _encode_block_pairs(msg.reproposals)}
-
-
-def _decode_new_view(data: dict[str, Any]) -> NewView:
-    return NewView(
-        instance=int(data["instance"]),
-        view=int(data["view"]),
-        sender=int(data["sender"]),
-        reproposals=_decode_block_pairs(data.get("reproposals", [])),
-    )
-
-
-def _encode_checkpoint(msg: CheckpointMessage) -> dict[str, Any]:
-    return {
-        **_pbft_header(msg),
-        "epoch": msg.epoch,
-        "state_digest": msg.state_digest,
-    }
-
-
-def _decode_checkpoint(data: dict[str, Any]) -> CheckpointMessage:
-    return CheckpointMessage(
-        instance=int(data["instance"]),
-        view=int(data["view"]),
-        sender=int(data["sender"]),
-        epoch=int(data.get("epoch", 0)),
-        state_digest=data.get("state_digest", ""),
-    )
-
-
-#: Type registry: message class -> (tag, encoder) and tag -> decoder.
-_ENCODERS: dict[type, tuple[str, Callable[[Any], dict[str, Any]]]] = {
-    ClientRequest: ("client_request", _encode_client_request),
-    ClientReply: ("client_reply", _encode_client_reply),
-    PrePrepare: ("pre_prepare", _encode_pre_prepare),
-    Prepare: ("prepare", _encode_prepare),
-    Commit: ("commit", _encode_commit),
-    ViewChange: ("view_change", _encode_view_change),
-    NewView: ("new_view", _encode_new_view),
-    CheckpointMessage: ("checkpoint", _encode_checkpoint),
-}
-
-_DECODERS: dict[str, Callable[[dict[str, Any]], Any]] = {
-    "client_request": _decode_client_request,
-    "client_reply": _decode_client_reply,
-    "pre_prepare": _decode_pre_prepare,
-    "prepare": _decode_prepare,
-    "commit": _decode_commit,
-    "view_change": _decode_view_change,
-    "new_view": _decode_new_view,
-    "checkpoint": _decode_checkpoint,
-}
-
-
-def register_wire_type(
-    cls: type,
-    tag: str,
-    encoder: Callable[[Any], dict[str, Any]],
-    decoder: Callable[[dict[str, Any]], Any],
-    *,
-    binary: tuple[int, Callable[[list[bytes], Any], None], Callable[[bytes, int], tuple[Any, int]]]
-    | None = None,
-) -> None:
-    """Register an additional message type (used by the control plane).
-
-    ``binary`` optionally supplies ``(type_id, encode, decode)`` for a native
-    v2 layout; types registered without one still travel over v2 connections,
-    with their canonical-JSON payload embedded in the binary envelope.
-    """
-    _ENCODERS[cls] = (tag, encoder)
-    _DECODERS[tag] = decoder
-    if binary is not None:
-        type_id, binary_encoder, binary_decoder = binary
-        _register_binary(cls, type_id, binary_encoder, binary_decoder)
-
-
-def wire_tags() -> list[str]:
-    """All registered type tags (sorted, for introspection and tests)."""
-    return sorted(_DECODERS)
-
-
-# -- binary (v2) primitives ---------------------------------------------------
-
-#: First byte of every binary frame.  Can never collide with JSON frames,
-#: which always start with ``{`` (0x7B).
-_BINARY_MAGIC = 0xB2
-
-#: Binary payload modes.
-_MODE_EMBEDDED_JSON = 0
-_MODE_NATIVE = 1
-
-_HEADER = struct.Struct(">BBBq")  # magic, version, mode, sender
+_HEADER = struct.Struct(">BBq")  # magic, version, sender
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -417,7 +81,7 @@ _TX_TYPES = (TransactionType.PAYMENT, TransactionType.CONTRACT)
 
 #: Decoder-private fast constructors: a frozen dataclass pays one
 #: ``object.__setattr__`` per field in ``__init__``; building the instance
-#: dict directly skips that at ~4x the speed.  Only the binary decoders use
+#: dict directly skips that at ~4x the speed.  Only the decoders below use
 #: these, and the round-trip property tests pin the results field-for-field
 #: against the regular constructors.
 _new_operation = ObjectOperation.__new__
@@ -743,7 +407,7 @@ def _r_block_pairs(buf: bytes, off: int) -> tuple[tuple[tuple[int, Block], ...],
     return tuple(pairs), off
 
 
-# -- binary (v2) message layouts ----------------------------------------------
+# -- message layouts ----------------------------------------------
 
 
 def _b_enc_client_request(out: list[bytes], msg: ClientRequest) -> None:
@@ -916,28 +580,31 @@ def _b_dec_checkpoint(buf: bytes, off: int) -> tuple[CheckpointMessage, int]:
     )
 
 
-#: Binary type registry: class -> (type id, encoder) and type id -> decoder.
+#: Type registry: class -> (type id, encoder) and type id -> decoder.
 #: Type ids are wire format — never reuse or renumber.  Ids 1-15 are reserved
 #: for consensus/client messages, 16+ for the control plane and extensions.
-_BINARY_ENCODERS: dict[
-    type, tuple[int, Callable[[list[bytes], Any], None]]
-] = {}
-_BINARY_DECODERS: dict[int, Callable[[bytes, int], tuple[Any, int]]] = {}
+_ENCODERS: dict[type, tuple[int, Callable[[list[bytes], Any], None]]] = {}
+_DECODERS: dict[int, Callable[[bytes, int], tuple[Any, int]]] = {}
 
 
-def _register_binary(
+def register_wire_type(
     cls: type,
     type_id: int,
     encoder: Callable[[list[bytes], Any], None],
     decoder: Callable[[bytes, int], tuple[Any, int]],
 ) -> None:
+    """Register a message type's layout (used by the control plane).
+
+    ``encoder(out, message)`` appends the message's fields to ``out``;
+    ``decoder(buf, offset)`` returns ``(message, end offset)``.
+    """
     if not 0 < type_id < 256:
-        raise ValueError(f"binary type id {type_id} outside u8 range")
-    existing = _BINARY_DECODERS.get(type_id)
-    if existing is not None and _BINARY_ENCODERS.get(cls, (None,))[0] != type_id:
-        raise ValueError(f"binary type id {type_id} already registered")
-    _BINARY_ENCODERS[cls] = (type_id, encoder)
-    _BINARY_DECODERS[type_id] = decoder
+        raise ValueError(f"wire type id {type_id} outside u8 range")
+    existing = _DECODERS.get(type_id)
+    if existing is not None and _ENCODERS.get(cls, (None,))[0] != type_id:
+        raise ValueError(f"wire type id {type_id} already registered")
+    _ENCODERS[cls] = (type_id, encoder)
+    _DECODERS[type_id] = decoder
 
 
 for _cls, _type_id, _enc, _dec in (
@@ -950,152 +617,57 @@ for _cls, _type_id, _enc, _dec in (
     (NewView, 7, _b_enc_new_view, _b_dec_new_view),
     (CheckpointMessage, 8, _b_enc_checkpoint, _b_dec_checkpoint),
 ):
-    _register_binary(_cls, _type_id, _enc, _dec)
+    register_wire_type(_cls, _type_id, _enc, _dec)
 
 
 # -- envelope ----------------------------------------------------------------
 
 
-def encode_payload(message: Any) -> tuple[str, dict[str, Any]]:
-    """Encode ``message`` to its (tag, payload dict) pair."""
-    try:
-        tag, encoder = _ENCODERS[type(message)]
-    except KeyError:
+def encode_envelope(sender: int, message: Any) -> bytes:
+    """Serialise ``message`` from ``sender`` into one envelope."""
+    entry = _ENCODERS.get(type(message))
+    if entry is None:
         raise WireCodecError(
             f"no wire encoding registered for {type(message).__name__}"
-        ) from None
-    return tag, encoder(message)
-
-
-def decode_payload(tag: str, payload: dict[str, Any]) -> Any:
-    """Decode a payload dict back into its message object."""
-    try:
-        decoder = _DECODERS[tag]
-    except KeyError:
-        raise WireCodecError(f"unknown wire type tag {tag!r}") from None
-    try:
-        return decoder(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireCodecError(f"malformed {tag} payload: {exc}") from exc
-
-
-def _encode_envelope_json(sender: int, message: Any) -> bytes:
-    tag, payload = encode_payload(message)
-    envelope = {"v": WIRE_VERSION, "t": tag, "s": sender, "p": payload}
-    return json.dumps(
-        envelope, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-
-
-def _encode_envelope_binary(sender: int, message: Any) -> bytes:
-    entry = _BINARY_ENCODERS.get(type(message))
-    if entry is not None:
-        type_id, encoder = entry
-        out = [
-            _HEADER.pack(_BINARY_MAGIC, WIRE_VERSION_BINARY, _MODE_NATIVE, sender),
-            _U8.pack(type_id),
-        ]
-        encoder(out, message)
-        return b"".join(out)
-    # No native layout: embed the canonical-JSON payload in a v2 envelope.
-    tag, payload = encode_payload(message)
-    out = [
-        _HEADER.pack(_BINARY_MAGIC, WIRE_VERSION_BINARY, _MODE_EMBEDDED_JSON, sender)
-    ]
-    _w_str(out, tag)
-    _w_json(out, payload)
+        )
+    type_id, encoder = entry
+    out = [_HEADER.pack(_MAGIC, PROTOCOL_VERSION, sender), _U8.pack(type_id)]
+    encoder(out, message)
     return b"".join(out)
 
 
-def encode_envelope(
-    sender: int, message: Any, *, version: int = WIRE_VERSION
-) -> bytes:
-    """Serialise ``message`` from ``sender`` at the requested wire version.
-
-    The default stays v1 (canonical JSON) — transports opt into v2 per peer
-    once the ``hello`` handshake has advertised support for it.
-    """
-    if version == WIRE_VERSION:
-        return _encode_envelope_json(sender, message)
-    if version in (WIRE_VERSION_BINARY, WIRE_VERSION_BATCH):
-        # v3 envelopes are v2 envelopes; batching happens at the framing
-        # layer, not here.
-        return _encode_envelope_binary(sender, message)
-    raise WireCodecError(
-        f"cannot encode wire version {version!r} "
-        f"(supported: {SUPPORTED_WIRE_VERSIONS})"
-    )
-
-
-def _decode_envelope_binary(data: bytes) -> tuple[int, Any]:
+def decode_envelope(data: bytes) -> tuple[int, Any]:
+    """Deserialise one envelope, returning ``(sender, message)``."""
+    if not data:
+        raise WireCodecError("empty frame")
     try:
-        magic, version, mode, sender = _HEADER.unpack_from(data, 0)
-        if version != WIRE_VERSION_BINARY:
+        magic, version, sender = _HEADER.unpack_from(data, 0)
+        if magic != _MAGIC:
+            raise WireCodecError(f"not a wire envelope (first byte {magic:#04x})")
+        if version != PROTOCOL_VERSION:
             raise WireCodecError(
                 f"unsupported wire version {version!r} "
-                f"(this node speaks {SUPPORTED_WIRE_VERSIONS})"
+                f"(this node speaks {PROTOCOL_VERSION})"
             )
-        off = _HEADER.size
-        if mode == _MODE_NATIVE:
-            type_id = data[off]
-            decoder = _BINARY_DECODERS.get(type_id)
-            if decoder is None:
-                raise WireCodecError(f"unknown binary wire type id {type_id}")
-            message, end = decoder(data, off + 1)
-            if end != len(data):
-                raise WireCodecError(
-                    f"binary frame has {len(data) - end} trailing bytes"
-                )
-            return sender, message
-        if mode == _MODE_EMBEDDED_JSON:
-            tag, off = _r_str(data, off)
-            payload, end = _r_json(data, off)
-            if end != len(data):
-                raise WireCodecError(
-                    f"binary frame has {len(data) - end} trailing bytes"
-                )
-            return sender, decode_payload(tag, payload)
-        raise WireCodecError(f"unknown binary payload mode {mode}")
+        type_id = data[_HEADER.size]
+        decoder = _DECODERS.get(type_id)
+        if decoder is None:
+            raise WireCodecError(f"unknown wire type id {type_id}")
+        message, end = decoder(data, _HEADER.size + 1)
     except WireCodecError:
         raise
     except (struct.error, IndexError, UnicodeDecodeError, ValueError, KeyError) as exc:
-        raise WireCodecError(f"malformed binary frame: {exc}") from exc
-
-
-def decode_envelope(data: bytes) -> tuple[int, Any]:
-    """Deserialise one envelope (either wire version), returning
-    ``(sender, message)``."""
-    if not data:
-        raise WireCodecError("empty frame")
-    if data[0] == _BINARY_MAGIC:
-        return _decode_envelope_binary(data)
-    try:
-        envelope = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireCodecError(f"undecodable frame: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise WireCodecError("frame is not a JSON object")
-    version = envelope.get("v")
-    if version != WIRE_VERSION:
-        raise WireCodecError(
-            f"unsupported wire version {version!r} (this node speaks {WIRE_VERSION})"
-        )
-    try:
-        tag = envelope["t"]
-        sender = int(envelope["s"])
-        payload = envelope["p"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireCodecError(f"malformed envelope: {exc}") from exc
-    return sender, decode_payload(tag, payload)
+        raise WireCodecError(f"malformed frame: {exc}") from exc
+    if end != len(data):
+        raise WireCodecError(f"frame has {len(data) - end} trailing bytes")
+    return sender, message
 
 
 def decode_envelopes(data: bytes) -> list[tuple[int, Any]]:
     """Deserialise a frame payload into its ``(sender, message)`` pairs.
 
-    A plain envelope yields one pair; a super-frame (wire v3 framing) yields
-    one per packed envelope, in order.  Accepted regardless of this node's
-    advertised version — like v1/v2 sniffing, decoding is liberal even when
-    the local sender is pinned to an older version.
+    A plain envelope yields one pair; a super-frame yields one per packed
+    envelope, in order.
     """
     if data and data[0] == SUPER_FRAME_MAGIC:
         try:

@@ -1,27 +1,23 @@
 """Control-plane messages used only by the live runtime.
 
-These never appear in the simulator: connection handshakes, status probes
-(used by the load generator and the cluster supervisor to read committed
-counts, state digests and the latency-stage breakdown) and graceful shutdown.
-They ride the same versioned wire codec as the consensus messages.
-
-The :class:`Hello` handshake doubles as the wire-version negotiation: every
-connection opens with a v1 (canonical JSON) hello advertising the highest
-wire version the sender speaks, and each side then encodes *to* that peer at
-``min(own version, advertised version)`` — so a v2 cluster runs struct-packed
-binary frames end to end, while any v1-only peer transparently keeps
-receiving canonical JSON.
+These never appear in the simulator: connection handshakes, status and
+metrics probes (used by the load generator and the cluster supervisor to
+read committed counts, state digests and the latency-stage breakdown), state
+transfer for recovering replicas, partition link updates and graceful
+shutdown.  They ride the same binary wire codec as the consensus messages,
+with type ids 16 and up.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any
 
+from repro.ledger.blocks import Block
 from repro.runtime.codec import (
-    WIRE_VERSION_BINARY,
     _I64,
+    _b_dec_block,
+    _b_enc_block,
     _r_json,
     _r_str,
     _w_json,
@@ -32,12 +28,10 @@ from repro.runtime.codec import (
 
 @dataclass(frozen=True)
 class Hello:
-    """First frame on every connection: who is calling, in what role, and
-    the highest wire version the caller can decode."""
+    """First frame on every connection: who is calling, in what role."""
 
     node_id: int
     role: str = "replica"  # "replica" | "client"
-    wire_version: int = WIRE_VERSION_BINARY
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,9 @@ class RecoveryReply:
 
     ``snapshot`` is the peer's latest durable snapshot as canonical JSON
     (empty string when the requestor's frontier already covers it, or the
-    peer has none); ``blocks`` are wire-encoded committed blocks above the
-    requestor's frontier, capped at :data:`RECOVERY_BLOCK_BATCH` per reply.
+    peer has none); ``blocks`` are the committed blocks above the
+    requestor's frontier in delivery order, capped at
+    :data:`RECOVERY_BLOCK_BATCH` per reply.
     ``views`` carries the peer's installed view per instance so the
     requestor can fast-forward instead of re-running view changes, and
     ``checkpoint_epoch``/``checkpoint_digest`` pin the latest quorum-stable
@@ -122,7 +117,7 @@ class RecoveryReply:
     checkpoint_epoch: int = -1
     checkpoint_digest: str = ""
     snapshot: str = ""
-    blocks: tuple[dict, ...] = ()
+    blocks: tuple[Block, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -147,94 +142,18 @@ class LinkUpdate:
     blocked: tuple[int, ...] = ()
 
 
-def _decode_hello(data: dict[str, Any]) -> Hello:
-    return Hello(
-        node_id=int(data["node_id"]),
-        role=data.get("role", "replica"),
-        # Peers predating the binary codec never sent the field; they speak
-        # canonical JSON (v1) only.
-        wire_version=int(data.get("wire_version", 1)),
-    )
-
-
-def _decode_status_request(data: dict[str, Any]) -> StatusRequest:
-    return StatusRequest(nonce=int(data.get("nonce", 0)))
-
-
-def _decode_status_reply(data: dict[str, Any]) -> StatusReply:
-    return StatusReply(
-        nonce=int(data.get("nonce", 0)),
-        replica=int(data["replica"]),
-        committed=int(data["committed"]),
-        rejected=int(data.get("rejected", 0)),
-        state_digest=data["state_digest"],
-        delivered_frontier=tuple(int(v) for v in data.get("delivered_frontier", [])),
-        view_changes=int(data.get("view_changes", 0)),
-        stage_breakdown={
-            str(k): float(v) for k, v in data.get("stage_breakdown", {}).items()
-        },
-    )
-
-
-def _decode_metrics_request(data: dict[str, Any]) -> MetricsRequest:
-    return MetricsRequest(nonce=int(data.get("nonce", 0)))
-
-
-def _decode_metrics_reply(data: dict[str, Any]) -> MetricsReply:
-    return MetricsReply(
-        nonce=int(data.get("nonce", 0)),
-        replica=int(data["replica"]),
-        uptime=float(data.get("uptime", 0.0)),
-        metrics={str(k): float(v) for k, v in data.get("metrics", {}).items()},
-    )
-
-
-def _decode_recovery_request(data: dict[str, Any]) -> RecoveryRequest:
-    return RecoveryRequest(
-        nonce=int(data.get("nonce", 0)),
-        replica=int(data["replica"]),
-        frontier=tuple(int(v) for v in data.get("frontier", [])),
-    )
-
-
-def _decode_recovery_reply(data: dict[str, Any]) -> RecoveryReply:
-    return RecoveryReply(
-        nonce=int(data.get("nonce", 0)),
-        replica=int(data["replica"]),
-        frontier=tuple(int(v) for v in data.get("frontier", [])),
-        views=tuple(int(v) for v in data.get("views", [])),
-        checkpoint_epoch=int(data.get("checkpoint_epoch", -1)),
-        checkpoint_digest=data.get("checkpoint_digest", ""),
-        snapshot=data.get("snapshot", ""),
-        blocks=tuple(data.get("blocks", [])),
-    )
-
-
-def _decode_shutdown(data: dict[str, Any]) -> ShutdownRequest:
-    return ShutdownRequest(reason=data.get("reason", ""))
-
-
-def _decode_link_update(data: dict[str, Any]) -> LinkUpdate:
-    return LinkUpdate(
-        nonce=int(data.get("nonce", 0)),
-        blocked=tuple(int(v) for v in data.get("blocked", [])),
-    )
-
-
-# -- binary (v2) layouts -------------------------------------------------------
-
-_HELLO_FIXED = struct.Struct(">qB")  # node_id, wire_version
+# -- layouts ------------------------------------------------------------------
 
 
 def _b_enc_hello(out: list[bytes], msg: Hello) -> None:
-    out.append(_HELLO_FIXED.pack(msg.node_id, msg.wire_version))
+    out.append(_I64.pack(msg.node_id))
     _w_str(out, msg.role)
 
 
 def _b_dec_hello(buf: bytes, off: int) -> tuple[Hello, int]:
-    node_id, wire_version = _HELLO_FIXED.unpack_from(buf, off)
-    role, off = _r_str(buf, off + _HELLO_FIXED.size)
-    return Hello(node_id=node_id, role=role, wire_version=wire_version), off
+    (node_id,) = _I64.unpack_from(buf, off)
+    role, off = _r_str(buf, off + 8)
+    return Hello(node_id=node_id, role=role), off
 
 
 def _b_enc_status_request(out: list[bytes], msg: StatusRequest) -> None:
@@ -318,9 +237,9 @@ def _b_enc_recovery_reply(out: list[bytes], msg: RecoveryReply) -> None:
     _w_i64_seq(out, msg.views)
     _w_str(out, msg.checkpoint_digest)
     _w_str(out, msg.snapshot)
-    # Control-plane one-shot transfer, not the consensus hot path — length-
-    # prefixed JSON for the block batch keeps the layout trivially stable.
-    _w_json(out, {"blocks": list(msg.blocks)})
+    out.append(struct.pack(">I", len(msg.blocks)))
+    for block in msg.blocks:
+        _b_enc_block(out, block)
 
 
 def _b_dec_recovery_reply(buf: bytes, off: int) -> tuple[RecoveryReply, int]:
@@ -329,7 +248,12 @@ def _b_dec_recovery_reply(buf: bytes, off: int) -> tuple[RecoveryReply, int]:
     views, off = _r_i64_seq(buf, off)
     checkpoint_digest, off = _r_str(buf, off)
     snapshot, off = _r_str(buf, off)
-    wrapped, off = _r_json(buf, off)
+    (count,) = struct.unpack_from(">I", buf, off)
+    off += 4
+    blocks = []
+    for _ in range(count):
+        block, off = _b_dec_block(buf, off)
+        blocks.append(block)
     return (
         RecoveryReply(
             nonce=nonce,
@@ -339,7 +263,7 @@ def _b_dec_recovery_reply(buf: bytes, off: int) -> tuple[RecoveryReply, int]:
             checkpoint_epoch=checkpoint_epoch,
             checkpoint_digest=checkpoint_digest,
             snapshot=snapshot,
-            blocks=tuple(wrapped.get("blocks", [])),
+            blocks=tuple(blocks),
         ),
         off,
     )
@@ -396,93 +320,15 @@ def _b_dec_metrics_reply(buf: bytes, off: int) -> tuple[MetricsReply, int]:
     )
 
 
-register_wire_type(
-    Hello,
-    "hello",
-    lambda m: {"node_id": m.node_id, "role": m.role, "wire_version": m.wire_version},
-    _decode_hello,
-    binary=(16, _b_enc_hello, _b_dec_hello),
-)
-register_wire_type(
-    StatusRequest,
-    "status_request",
-    lambda m: {"nonce": m.nonce},
-    _decode_status_request,
-    binary=(17, _b_enc_status_request, _b_dec_status_request),
-)
-register_wire_type(
-    StatusReply,
-    "status_reply",
-    lambda m: {
-        "nonce": m.nonce,
-        "replica": m.replica,
-        "committed": m.committed,
-        "rejected": m.rejected,
-        "state_digest": m.state_digest,
-        "delivered_frontier": list(m.delivered_frontier),
-        "view_changes": m.view_changes,
-        "stage_breakdown": m.stage_breakdown,
-    },
-    _decode_status_reply,
-    binary=(18, _b_enc_status_reply, _b_dec_status_reply),
-)
-register_wire_type(
-    ShutdownRequest,
-    "shutdown",
-    lambda m: {"reason": m.reason},
-    _decode_shutdown,
-    binary=(19, _b_enc_shutdown, _b_dec_shutdown),
-)
-register_wire_type(
-    MetricsRequest,
-    "metrics_request",
-    lambda m: {"nonce": m.nonce},
-    _decode_metrics_request,
-    binary=(20, _b_enc_metrics_request, _b_dec_metrics_request),
-)
-register_wire_type(
-    RecoveryRequest,
-    "recovery_request",
-    lambda m: {
-        "nonce": m.nonce,
-        "replica": m.replica,
-        "frontier": list(m.frontier),
-    },
-    _decode_recovery_request,
-    binary=(22, _b_enc_recovery_request, _b_dec_recovery_request),
-)
-register_wire_type(
-    RecoveryReply,
-    "recovery_reply",
-    lambda m: {
-        "nonce": m.nonce,
-        "replica": m.replica,
-        "frontier": list(m.frontier),
-        "views": list(m.views),
-        "checkpoint_epoch": m.checkpoint_epoch,
-        "checkpoint_digest": m.checkpoint_digest,
-        "snapshot": m.snapshot,
-        "blocks": list(m.blocks),
-    },
-    _decode_recovery_reply,
-    binary=(23, _b_enc_recovery_reply, _b_dec_recovery_reply),
-)
-register_wire_type(
-    LinkUpdate,
-    "link_update",
-    lambda m: {"nonce": m.nonce, "blocked": list(m.blocked)},
-    _decode_link_update,
-    binary=(24, _b_enc_link_update, _b_dec_link_update),
-)
-register_wire_type(
-    MetricsReply,
-    "metrics_reply",
-    lambda m: {
-        "nonce": m.nonce,
-        "replica": m.replica,
-        "uptime": m.uptime,
-        "metrics": m.metrics,
-    },
-    _decode_metrics_reply,
-    binary=(21, _b_enc_metrics_reply, _b_dec_metrics_reply),
-)
+for _cls, _type_id, _enc, _dec in (
+    (Hello, 16, _b_enc_hello, _b_dec_hello),
+    (StatusRequest, 17, _b_enc_status_request, _b_dec_status_request),
+    (StatusReply, 18, _b_enc_status_reply, _b_dec_status_reply),
+    (ShutdownRequest, 19, _b_enc_shutdown, _b_dec_shutdown),
+    (MetricsRequest, 20, _b_enc_metrics_request, _b_dec_metrics_request),
+    (MetricsReply, 21, _b_enc_metrics_reply, _b_dec_metrics_reply),
+    (RecoveryRequest, 22, _b_enc_recovery_request, _b_dec_recovery_request),
+    (RecoveryReply, 23, _b_enc_recovery_reply, _b_dec_recovery_reply),
+    (LinkUpdate, 24, _b_enc_link_update, _b_dec_link_update),
+):
+    register_wire_type(_cls, _type_id, _enc, _dec)

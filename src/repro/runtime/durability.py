@@ -24,6 +24,11 @@ WAL record kinds (``k`` field):
 * ``v`` — a view install ``{i: instance, v: view}``
 * ``e`` — an executed-epoch mark ``{e: epoch, d: checkpoint digest,
   sd: state digest}``
+
+A ``b`` record's ``blk`` field is the WAL's own JSON rendering of the block
+(:func:`encode_block`), independent of the binary wire codec: records are
+plain JSON so the log stays readable and its bytes never change with the
+wire layout.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from typing import Any, Callable
 
 from repro.core.interfaces import ConsensusCore
 from repro.core.outcomes import TxStatus
-from repro.ledger.blocks import Block
-from repro.runtime.codec import _decode_block, _encode_block
+from repro.crypto.signatures import Signature
+from repro.ledger.blocks import Block, SystemState
+from repro.ledger.objects import ObjectOperation, ObjectType, OperationKind
+from repro.ledger.transactions import Transaction, TransactionType
 from repro.runtime.wal import WAL_FILE_NAME, WalWriter, encode_record, read_wal
 
 logger = logging.getLogger(__name__)
@@ -52,12 +59,113 @@ class SnapshotError(Exception):
     """A snapshot failed validation during restore."""
 
 
+# -- WAL block encoding ---------------------------------------------------------
+
+
+def _encode_operation(op: ObjectOperation) -> dict[str, Any]:
+    return {
+        "key": op.key,
+        "kind": op.kind.value,
+        "amount": op.amount,
+        "object_type": op.object_type.value,
+    }
+
+
+def _decode_operation(data: dict[str, Any]) -> ObjectOperation:
+    return ObjectOperation(
+        key=data["key"],
+        kind=OperationKind(data["kind"]),
+        amount=int(data["amount"]),
+        object_type=ObjectType(data["object_type"]),
+    )
+
+
+def _encode_signature(signature: Signature) -> dict[str, Any]:
+    return {
+        "signer": signature.signer,
+        "message_digest": signature.message_digest,
+        "value": signature.value,
+    }
+
+
+def _decode_signature(data: dict[str, Any]) -> Signature:
+    return Signature(
+        signer=data["signer"],
+        message_digest=data["message_digest"],
+        value=data["value"],
+    )
+
+
+def _encode_transaction(tx: Transaction) -> dict[str, Any]:
+    return {
+        "tx_id": tx.tx_id,
+        "operations": [_encode_operation(op) for op in tx.operations],
+        "tx_type": tx.tx_type.value,
+        "payload_size": tx.payload_size,
+        "client_id": tx.client_id,
+        "signatures": {
+            holder: _encode_signature(sig) for holder, sig in tx.signatures.items()
+        },
+        "submitted_at": tx.submitted_at,
+        "metadata": tx.metadata,
+    }
+
+
+def _decode_transaction(data: dict[str, Any]) -> Transaction:
+    return Transaction(
+        tx_id=data["tx_id"],
+        operations=tuple(_decode_operation(op) for op in data["operations"]),
+        tx_type=TransactionType(data["tx_type"]),
+        payload_size=int(data.get("payload_size", 0)),
+        client_id=data.get("client_id"),
+        signatures={
+            holder: _decode_signature(sig)
+            for holder, sig in data.get("signatures", {}).items()
+        },
+        submitted_at=data.get("submitted_at"),
+        metadata=dict(data.get("metadata", {})),
+    )
+
+
+def encode_block(block: Block) -> dict[str, Any]:
+    """A block as the JSON-ready dict a WAL ``b`` record carries."""
+    return {
+        "instance": block.instance,
+        "sequence_number": block.sequence_number,
+        "transactions": [_encode_transaction(tx) for tx in block.transactions],
+        "state": list(block.state.sequence_numbers),
+        "proposer": block.proposer,
+        "epoch": block.epoch,
+        "rank": block.rank,
+        "signature": (
+            _encode_signature(block.signature) if block.signature is not None else None
+        ),
+        "metadata": block.metadata,
+    }
+
+
+def decode_block(data: dict[str, Any]) -> Block:
+    """Inverse of :func:`encode_block`."""
+    signature = data.get("signature")
+    return Block(
+        instance=int(data["instance"]),
+        sequence_number=int(data["sequence_number"]),
+        transactions=tuple(_decode_transaction(tx) for tx in data["transactions"]),
+        state=SystemState(tuple(int(v) for v in data["state"])),
+        proposer=int(data["proposer"]),
+        epoch=int(data.get("epoch", 0)),
+        rank=data.get("rank"),
+        signature=_decode_signature(signature) if signature is not None else None,
+        metadata=dict(data.get("metadata", {})),
+    )
+
+
 # -- WAL record builders ------------------------------------------------------
 
 
 def block_record(block: Block) -> dict[str, Any]:
     """WAL record for one committed block."""
-    return {"k": "b", "blk": _encode_block(block)}
+    return {"k": "b", "blk": encode_block(block)}
 
 
 def view_record(instance: int, view: int) -> dict[str, Any]:
@@ -75,7 +183,7 @@ def decode_block_record(record: dict[str, Any]) -> Block | None:
     if record.get("k") != "b":
         return None
     try:
-        return _decode_block(record["blk"])
+        return decode_block(record["blk"])
     except (KeyError, ValueError, TypeError):
         return None
 

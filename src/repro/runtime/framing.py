@@ -10,10 +10,10 @@ Two batching constructs sit on top of the basic frame:
 * :class:`FrameReader` — a buffered reader that parses every complete frame
   out of each socket read, so a burst of small frames costs one ``await``
   instead of two ``readexactly`` awaits per frame;
-* *super-frames* (wire v3) — one frame whose payload packs many envelopes
+* *super-frames* — one frame whose payload packs many envelopes
   (``0xB3 magic, u32 count, then count × <u32 length><envelope>``).  The
-  envelope bytes inside are ordinary v1/v2 envelopes, so batching lives
-  entirely at the framing layer and the codec is untouched.
+  envelope bytes inside are ordinary envelopes, so batching lives entirely
+  at the framing layer and the codec is untouched.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
-#: First payload byte of a super-frame.  Distinct from the v2 envelope magic
-#: (``0xB2``) and from ``{`` (0x7B), the first byte of every v1 envelope, so
-#: a decoder can sniff the payload kind from one byte.
+#: First payload byte of a super-frame.  Distinct from the envelope magic
+#: (``0xB2``), so a decoder can sniff the payload kind from one byte.
 SUPER_FRAME_MAGIC = 0xB3
 
 _SUPER_HEADER = struct.Struct(">BI")
@@ -137,7 +136,7 @@ class FrameReader:
         return frames
 
 
-# -- super-frames (wire v3) ---------------------------------------------------
+# -- super-frames ---------------------------------------------------------------
 
 
 def encode_super_frame(envelopes: Sequence[bytes]) -> bytes:

@@ -27,12 +27,7 @@ from repro.metrics.summary import MetricsCollector
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import TraceWriter
 from repro.runtime.chaos import make_abstention_filter, wan_delay_map
-from repro.runtime.codec import (
-    WireCodecError,
-    _decode_block,
-    _encode_block,
-    encode_envelope,
-)
+from repro.runtime.codec import WireCodecError, encode_envelope
 from repro.runtime.config import ReplicaRuntimeConfig, format_endpoint
 from repro.runtime.control import (
     RECOVERY_BLOCK_BATCH,
@@ -57,7 +52,7 @@ from repro.runtime.workers import (
     OFFLOAD_MIN_BYTES,
     InlineWorkers,
     WorkerPool,
-    decode_payloads,
+    decode_frames,
     make_worker_pool,
 )
 from repro.sb.pbft.endpoint import PBFTConfig
@@ -145,7 +140,6 @@ class ReplicaServer:
             peer_delay=wan_delay_map(
                 self.config.wan, self.config.replica_id, self.config.num_replicas
             ),
-            wire_version=self.config.wire_version,
             registry=self.registry,
         )
         core = self.config.build_core()
@@ -242,9 +236,25 @@ class ReplicaServer:
         )
 
     async def serve_forever(self) -> None:
-        """Run until :meth:`stop` is called (or a shutdown frame arrives)."""
+        """Run until :meth:`stop` is called (or a shutdown frame arrives).
+
+        Starts the server first when needed.  A stop requested while start-up
+        is still running (local recovery, state transfer) abandons the rest
+        of start-up and goes straight to the graceful shutdown, so whatever
+        recovery already wrote to the WAL is flushed.
+        """
         if self._server is None:
-            await self.start()
+            starting = asyncio.ensure_future(self.start())
+            stopping = asyncio.ensure_future(self._stopped.wait())
+            await asyncio.wait(
+                (starting, stopping), return_when=asyncio.FIRST_COMPLETED
+            )
+            stopping.cancel()
+            if starting.done():
+                starting.result()  # re-raise a failed start-up
+            else:
+                starting.cancel()
+                await asyncio.gather(starting, return_exceptions=True)
         await self._stopped.wait()
         await self._shutdown()
 
@@ -336,7 +346,7 @@ class ReplicaServer:
 
         The read side is batched twice over: the :class:`FrameReader`
         surfaces every frame a socket read delivered in one ``await``, and a
-        super-frame (wire v3) expands into its packed envelopes.  Large
+        super-frame expands into its packed envelopes.  Large
         batches are decoded on the worker pool, keeping the hashing/parsing
         off the consensus event loop.
         """
@@ -387,7 +397,7 @@ class ReplicaServer:
             self._c_decode_offloaded.inc()
             return await pool.decode(payloads)
         self._c_decode_inline.inc()
-        return decode_payloads(payloads)
+        return decode_frames(payloads)
 
     async def _dispatch(
         self,
@@ -399,34 +409,18 @@ class ReplicaServer:
         """Route one decoded message; returns (registered, keep serving)."""
         assert self.transport is not None and self.replica is not None
         if isinstance(message, Hello):
-            # Every hello advertises the sender's wire version; the
-            # transport then encodes to that node at min(ours, theirs).
-            self.transport.note_peer_version(message.node_id, message.wire_version)
             if message.role == "client":
                 registered = message.node_id
                 self.transport.register_stream(registered, writer)
-                # Answer with our own hello so the client can upgrade
-                # its request encoding symmetrically.
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        self.config.replica_id,
-                        Hello(
-                            self.config.replica_id,
-                            role="replica",
-                            wire_version=self.transport.wire_version,
-                        ),
-                    ),
-                )
             return registered, True
         if isinstance(message, StatusRequest):
-            await self._send_status(writer, message.nonce, sender)
+            await self._reply(writer, self.status(message.nonce))
             return registered, True
         if isinstance(message, MetricsRequest):
-            await self._send_metrics(writer, message.nonce, sender)
+            await self._reply(writer, self.metrics_reply(message.nonce))
             return registered, True
         if isinstance(message, RecoveryRequest):
-            await self._send_recovery(writer, message, sender)
+            await self._reply(writer, self._recovery_reply(message))
             return registered, True
         if isinstance(message, LinkUpdate):
             # Chaos control plane: replace the partition-blocked peer set.
@@ -471,32 +465,9 @@ class ReplicaServer:
         self.replica.receive(sender, message)
         return registered, True
 
-    async def _send_status(
-        self, writer: asyncio.StreamWriter, nonce: int, requester: int
-    ) -> None:
-        assert self.transport is not None
-        reply = self.status(nonce)
-        await write_frame(
-            writer,
-            encode_envelope(
-                self.config.replica_id,
-                reply,
-                version=self.transport.version_for(requester),
-            ),
-        )
-
-    async def _send_metrics(
-        self, writer: asyncio.StreamWriter, nonce: int, requester: int
-    ) -> None:
-        assert self.transport is not None
-        await write_frame(
-            writer,
-            encode_envelope(
-                self.config.replica_id,
-                self.metrics_reply(nonce),
-                version=self.transport.version_for(requester),
-            ),
-        )
+    async def _reply(self, writer: asyncio.StreamWriter, message: Any) -> None:
+        """Answer a control-plane request on the connection it came in on."""
+        await write_frame(writer, encode_envelope(self.config.replica_id, message))
 
     # -- crash recovery / state transfer ------------------------------------
 
@@ -552,15 +523,10 @@ class ReplicaServer:
         views: tuple[int, ...] = ()
         try:
             frames = FrameReader(reader)
-            # Recovery is a one-shot control exchange, not the hot path: pin
-            # the connection to canonical JSON (v1) so it works against any
-            # peer without waiting for version negotiation.
             await write_frame(
                 writer,
                 encode_envelope(
-                    self.config.replica_id,
-                    Hello(self.config.replica_id, role="replica", wire_version=1),
-                    version=1,
+                    self.config.replica_id, Hello(self.config.replica_id)
                 ),
             )
             nonce = 0
@@ -574,8 +540,7 @@ class ReplicaServer:
                     ),
                 )
                 await write_frame(
-                    writer,
-                    encode_envelope(self.config.replica_id, request, version=1),
+                    writer, encode_envelope(self.config.replica_id, request)
                 )
                 reply = await self._read_recovery_reply(frames, nonce)
                 if reply is None:
@@ -597,7 +562,7 @@ class ReplicaServer:
             payloads = await asyncio.wait_for(frames.read_batch(), timeout=10.0)
             if payloads is None:
                 return None
-            for entry in decode_payloads(payloads):
+            for entry in decode_frames(payloads):
                 if isinstance(entry, WireCodecError):
                     continue
                 _, message = entry
@@ -618,11 +583,7 @@ class ReplicaServer:
         core = self.replica.core
         delivered = list(core.delivered_state().sequence_numbers)
         applied = 0
-        for data in reply.blocks:
-            try:
-                block = _decode_block(data)
-            except (KeyError, ValueError, TypeError):
-                continue
+        for block in reply.blocks:
             if block.instance >= len(delivered):
                 continue
             if block.sequence_number != delivered[block.instance] + 1:
@@ -793,11 +754,9 @@ class ReplicaServer:
                 self.config.replica_id,
             )
 
-    async def _send_recovery(
-        self, writer: asyncio.StreamWriter, request: RecoveryRequest, requester: int
-    ) -> None:
-        """Answer a recovering peer with our snapshot and missing blocks."""
-        assert self.replica is not None and self.transport is not None
+    def _recovery_reply(self, request: RecoveryRequest) -> RecoveryReply:
+        """Our snapshot and the blocks a recovering peer is missing."""
+        assert self.replica is not None
         core = self.replica.core
         width = core.config.num_instances
         requestor_frontier = list(request.frontier)
@@ -828,7 +787,7 @@ class ReplicaServer:
                     snapshot_text = json.dumps(
                         snapshot, sort_keys=True, separators=(",", ":")
                     )
-        reply = RecoveryReply(
+        return RecoveryReply(
             nonce=request.nonce,
             replica=self.config.replica_id,
             frontier=tuple(core.delivered_state().sequence_numbers),
@@ -838,15 +797,7 @@ class ReplicaServer:
             checkpoint_epoch=checkpoint_epoch,
             checkpoint_digest=checkpoint_digest,
             snapshot=snapshot_text,
-            blocks=tuple(_encode_block(block) for block in blocks),
-        )
-        await write_frame(
-            writer,
-            encode_envelope(
-                self.config.replica_id,
-                reply,
-                version=self.transport.version_for(requester),
-            ),
+            blocks=tuple(blocks),
         )
 
     def _blocks_above(self, frontier: list[int]) -> list[Block]:
@@ -906,10 +857,11 @@ class ReplicaServer:
 async def run_server(config: ReplicaRuntimeConfig) -> None:
     """Entry point used by ``repro serve``."""
     server = ReplicaServer(config)
-    await server.start()
     # SIGTERM (the supervisor's polite stop) must run the full shutdown
     # path: it flushes the WAL tail past the last fsync batch and writes
     # the final metrics snapshot.  Only SIGKILL should look like a crash.
+    # The handler goes in before start-up, which already appends to the WAL
+    # (blocks learned through state transfer).
     loop = asyncio.get_running_loop()
     try:
         loop.add_signal_handler(signal.SIGTERM, server.stop)

@@ -47,7 +47,7 @@ def _init_worker() -> None:
 # -- batch functions (run in workers or inline; pure, picklable I/O) ----------
 
 
-def decode_payloads(
+def decode_frames(
     payloads: Sequence[bytes], *, warm_digests: bool = False
 ) -> list[tuple[int, Any] | WireCodecError]:
     """Decode frame payloads (splitting super-frames) to (sender, message).
@@ -94,12 +94,9 @@ def _warm_digests(message: Any) -> None:
                 _ = block.digest
 
 
-def encode_envelopes(jobs: Sequence[tuple[int, Any, int]]) -> list[bytes]:
-    """Encode ``(sender, message, version)`` jobs into envelope bytes."""
-    return [
-        encode_envelope(sender, message, version=version)
-        for sender, message, version in jobs
-    ]
+def encode_envelopes(jobs: Sequence[tuple[int, Any]]) -> list[bytes]:
+    """Encode ``(sender, message)`` jobs into envelope bytes."""
+    return [encode_envelope(sender, message) for sender, message in jobs]
 
 
 def digest_batch(values: Sequence[Any]) -> list[str]:
@@ -130,9 +127,9 @@ class InlineWorkers:
     async def decode(
         self, payloads: Sequence[bytes]
     ) -> list[tuple[int, Any] | WireCodecError]:
-        return decode_payloads(payloads)
+        return decode_frames(payloads)
 
-    async def encode(self, jobs: Sequence[tuple[int, Any, int]]) -> list[bytes]:
+    async def encode(self, jobs: Sequence[tuple[int, Any]]) -> list[bytes]:
         return encode_envelopes(jobs)
 
     async def digests(self, values: Sequence[Any]) -> list[str]:
@@ -179,7 +176,7 @@ class WorkerPool:
         self.items_submitted += len(payloads)
         return await self._run(_decode_warm, list(payloads))
 
-    async def encode(self, jobs: Sequence[tuple[int, Any, int]]) -> list[bytes]:
+    async def encode(self, jobs: Sequence[tuple[int, Any]]) -> list[bytes]:
         self.items_submitted += len(jobs)
         return await self._run(encode_envelopes, list(jobs))
 
@@ -202,7 +199,7 @@ class WorkerPool:
 def _decode_warm(payloads: Sequence[bytes]) -> list[tuple[int, Any] | WireCodecError]:
     # Digest warming only pays across a process boundary, so the pool decodes
     # through this wrapper and the inline path does not.
-    return decode_payloads(payloads, warm_digests=True)
+    return decode_frames(payloads, warm_digests=True)
 
 
 def make_worker_pool(workers: int) -> WorkerPool | InlineWorkers:

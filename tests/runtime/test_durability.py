@@ -17,21 +17,31 @@ so these tests drive cores directly — one leader delivering blocks in order
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from repro.ledger.blocks import Block
-from repro.ledger.transactions import reset_transaction_counter
+from repro.crypto.signatures import Signature
+from repro.ledger.blocks import Block, SystemState
+from repro.ledger.objects import ObjectOperation, ObjectType, OperationKind
+from repro.ledger.transactions import (
+    Transaction,
+    TransactionType,
+    reset_transaction_counter,
+)
 from repro.runtime.config import ReplicaRuntimeConfig
 from repro.runtime.durability import (
     ReplicaDurability,
     SnapshotError,
+    block_record,
     core_is_quiescent,
+    decode_block_record,
     list_snapshots,
     load_snapshot,
     restore_core,
     snapshot_core,
 )
+from repro.runtime.wal import decode_record, encode_record
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import EthereumStyleWorkload
 
@@ -264,3 +274,66 @@ class TestReplicaDurability:
         assert not local.recovered_anything
         assert recovered.store.state_digest() == config.genesis_digest()
         durability.close()
+
+
+class TestBlockRecordFormat:
+    """The bytes of a WAL block record are an on-disk format: a log written
+    by any earlier build must replay unchanged."""
+
+    #: One record as written to ``wal.jsonl``: crc32, space, canonical JSON.
+    PINNED = (
+        b'e0f8843a {"blk":{"epoch":2,"instance":1,"metadata":{"k":1},'
+        b'"proposer":1,"rank":42,"sequence_number":7,"signature":'
+        b'{"message_digest":"bd","signer":"r1","value":"bv"},"state":[3,7],'
+        b'"transactions":[{"client_id":"c-7","metadata":{"note":"x"},'
+        b'"operations":[{"amount":5,"key":"alice","kind":"decrement",'
+        b'"object_type":"owned"},{"amount":5,"key":"bob","kind":"increment",'
+        b'"object_type":"owned"}],"payload_size":120,"signatures":{"alice":'
+        b'{"message_digest":"d1","signer":"r1","value":"v1"}},'
+        b'"submitted_at":1.5,"tx_id":"tx-1","tx_type":"payment"},'
+        b'{"client_id":null,"metadata":{},"operations":[{"amount":0,'
+        b'"key":"pool","kind":"contract_call","object_type":"shared"}],'
+        b'"payload_size":500,"signatures":{},"submitted_at":null,'
+        b'"tx_id":"tx-2","tx_type":"contract"}]},"k":"b"}\n'
+    )
+
+    @staticmethod
+    def _block() -> Block:
+        payment = Transaction(
+            tx_id="tx-1",
+            operations=(
+                ObjectOperation("alice", OperationKind.DECREMENT, 5, ObjectType.OWNED),
+                ObjectOperation("bob", OperationKind.INCREMENT, 5, ObjectType.OWNED),
+            ),
+            tx_type=TransactionType.PAYMENT,
+            payload_size=120,
+            client_id="c-7",
+            signatures={"alice": Signature(signer="r1", message_digest="d1", value="v1")},
+            submitted_at=1.5,
+            metadata={"note": "x"},
+        )
+        contract = Transaction(
+            tx_id="tx-2",
+            operations=(
+                ObjectOperation("pool", OperationKind.CONTRACT_CALL, 0, ObjectType.SHARED),
+            ),
+            tx_type=TransactionType.CONTRACT,
+        )
+        return Block(
+            instance=1,
+            sequence_number=7,
+            transactions=(payment, contract),
+            state=SystemState((3, 7)),
+            proposer=1,
+            epoch=2,
+            rank=42,
+            signature=Signature(signer="r1", message_digest="bd", value="bv"),
+            metadata={"k": 1},
+        )
+
+    def test_block_record_bytes_are_pinned(self):
+        assert encode_record(block_record(self._block())) == self.PINNED
+
+    def test_pinned_record_replays_to_the_same_block(self):
+        block = decode_block_record(decode_record(self.PINNED.rstrip(b"\n")))
+        assert asdict(block) == asdict(self._block())

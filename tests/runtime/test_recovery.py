@@ -432,7 +432,6 @@ def test_state_transfer_refuses_gapped_block_batches(tmp_path):
     from types import SimpleNamespace
 
     from repro.ledger.blocks import Block
-    from repro.runtime.codec import _encode_block
     from repro.runtime.control import RecoveryReply
 
     config = cluster_configs(tmp_path)[0]
@@ -460,7 +459,7 @@ def test_state_transfer_refuses_gapped_block_batches(tmp_path):
         return RecoveryReply(
             nonce=1,
             replica=1,
-            blocks=tuple(_encode_block(blocks[s]) for s in sequences),
+            blocks=tuple(blocks[s] for s in sequences),
         )
 
     # Sequences 0 and 1 are already delivered; 3 would leave a hole at 2.

@@ -24,7 +24,7 @@ from repro.runtime.framing import encode_super_frame
 from repro.runtime.workers import (
     InlineWorkers,
     WorkerPool,
-    decode_payloads,
+    decode_frames,
     digest_batch,
     encode_envelopes,
     make_worker_pool,
@@ -85,9 +85,9 @@ def _messages():
     ]
 
 
-def _payloads(version: int = 2) -> list[bytes]:
+def _payloads() -> list[bytes]:
     return [
-        encode_envelope(sender, message, version=version)
+        encode_envelope(sender, message)
         for sender, message in enumerate(_messages())
     ]
 
@@ -101,7 +101,7 @@ def pool():
 
 class TestPoolMatchesInline:
     def test_decode(self, pool):
-        payloads = _payloads() + [encode_super_frame(_payloads(version=1))]
+        payloads = _payloads() + [encode_super_frame(_payloads())]
 
         async def scenario():
             return await pool.decode(payloads), await InlineWorkers().decode(payloads)
@@ -114,11 +114,7 @@ class TestPoolMatchesInline:
             assert encode_envelope(0, p_message) == encode_envelope(0, i_message)
 
     def test_encode(self, pool):
-        jobs = [
-            (sender, message, version)
-            for version in (1, 2)
-            for sender, message in enumerate(_messages())
-        ]
+        jobs = list(enumerate(_messages()))
 
         async def scenario():
             return await pool.encode(jobs), await InlineWorkers().encode(jobs)
@@ -156,14 +152,14 @@ class TestPoolMatchesInline:
 class TestDecodeSemantics:
     def test_corrupt_entry_does_not_poison_the_batch(self):
         payloads = [_payloads()[0], b"\xb2garbage", _payloads()[1]]
-        out = decode_payloads(payloads)
+        out = decode_frames(payloads)
         assert len(out) == 3
         assert isinstance(out[0], tuple)
         assert isinstance(out[1], WireCodecError)
         assert isinstance(out[2], tuple)
 
     def test_corrupt_super_frame_is_one_error_entry(self):
-        out = decode_payloads([b"\xb3\x00\x00\x00\x05short"])
+        out = decode_frames([b"\xb3\x00\x00\x00\x05short"])
         assert len(out) == 1
         assert isinstance(out[0], WireCodecError)
 
@@ -184,7 +180,7 @@ class TestDecodeSemantics:
         assert all(block._digest_memo is not None for block in blocks)
 
     def test_inline_decode_does_not_prepay_digests(self):
-        decoded = decode_payloads(_payloads())
+        decoded = decode_frames(_payloads())
         blocks = [
             message.block
             for _, message in decoded
